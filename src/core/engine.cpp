@@ -142,7 +142,7 @@ void ReplicaEngine::maybe_auto_truncate() {
   // exchanged summaries with contributes bottom, making the meet empty.
   SummaryVector stable = log_.summary();
   for (const DemandEntry& entry : table_.entries()) {
-    const SummaryVector* known = find_knowledge(entry.peer);
+    const SummaryVector* known = knowledge_of(entry.peer);
     if (known == nullptr) return;
     stable = SummaryVector::meet(stable, *known);
   }
@@ -195,12 +195,16 @@ void ReplicaEngine::on_session_summary(NodeId from, const SessionSummary& m,
   // out of the log fall back to a full transfer of what we retain.
   std::vector<UpdateId> truncated;
   std::vector<Update> missing = log_.updates_for(m.summary, &truncated);
-  if (!truncated.empty()) {
-    missing = log_.all_retained();
-  }
   SummaryVector& known = knowledge_for(from);
   known.merge(m.summary);
-  for (const Update& u : missing) known.add(u.id);
+  if (truncated.empty()) {
+    // The partner's summary plus everything we lack on it is exactly our
+    // summary joined with theirs.
+    known.merge(log_.summary());
+  } else {
+    missing = log_.all_retained();
+    for (const Update& u : missing) known.add(u.id);
+  }
   send(out, from, SessionPush{m.session_id, log_.summary(), std::move(missing)});
 }
 
@@ -208,11 +212,6 @@ void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
                                     std::vector<Outbound>& out) {
   // The initiator's summary plus the updates it just sent describe
   // everything it will hold once this exchange completes.
-  {
-    SummaryVector& known = knowledge_for(from);
-    known.merge(m.summary);
-    for (const Update& u : m.updates) known.add(u.id);
-  }
   SummaryVector their_view = std::move(m.summary);
   for (const Update& u : m.updates) their_view.add(u.id);
   const std::vector<OfferedId> gained =
@@ -220,12 +219,16 @@ void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
   // Steps 10-11: reply with what the initiator lacks.
   std::vector<UpdateId> truncated;
   std::vector<Update> reply = log_.updates_for(their_view, &truncated);
-  if (!truncated.empty()) {
-    reply = log_.all_retained();
-  }
   {
     SummaryVector& known = knowledge_for(from);
-    for (const Update& u : reply) known.add(u.id);
+    known.merge(their_view);
+    if (truncated.empty()) {
+      // Their view plus the reply is their view joined with our summary.
+      known.merge(log_.summary());
+    } else {
+      reply = log_.all_retained();
+      for (const Update& u : reply) known.add(u.id);
+    }
   }
   send(out, from, SessionReply{m.session_id, std::move(reply)});
   ++stats_.sessions_responded;
@@ -505,7 +508,7 @@ void ReplicaEngine::handle(NodeId from, Message&& msg, SimTime now,
 
 bool ReplicaEngine::peer_known_to_have_all(
     NodeId peer, const std::vector<OfferedId>& gained) const {
-  const SummaryVector* known = find_knowledge(peer);
+  const SummaryVector* known = knowledge_of(peer);
   if (known == nullptr) return false;
   return std::all_of(gained.begin(), gained.end(), [&](const OfferedId& u) {
     return known->contains(u.id);
@@ -522,7 +525,7 @@ SummaryVector& ReplicaEngine::knowledge_for(NodeId peer) {
   return it->second;
 }
 
-const SummaryVector* ReplicaEngine::find_knowledge(NodeId peer) const {
+const SummaryVector* ReplicaEngine::knowledge_of(NodeId peer) const {
   const auto it = std::lower_bound(
       peer_knowledge_.begin(), peer_knowledge_.end(), peer,
       [](const auto& entry, NodeId key) { return entry.first < key; });

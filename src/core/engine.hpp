@@ -192,6 +192,9 @@ class ReplicaEngine {
   const EngineStats& stats() const noexcept { return stats_; }
   /// Wire-traffic counters accumulated since construction.
   const TrafficCounters& counters() const noexcept { return counters_; }
+  /// What this replica knows `peer` holds (learned from summaries, offers
+  /// and shipped payloads); nullptr before any exchange with it.
+  const SummaryVector* knowledge_of(NodeId peer) const;
 
   /// Client read of the materialised key-value state.
   std::optional<std::string> read(const std::string& key) const {
@@ -269,7 +272,6 @@ class ReplicaEngine {
 
   /// The knowledge summary for `peer`, created empty on first use.
   SummaryVector& knowledge_for(NodeId peer);
-  const SummaryVector* find_knowledge(NodeId peer) const;
 
   /// Builds an Outbound and records traffic counters.
   void send(std::vector<Outbound>& out, NodeId to, Message msg);

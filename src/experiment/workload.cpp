@@ -82,7 +82,7 @@ WorkloadResult run_workload(Graph topology,
     std::function<void()>* tick_ptr = timers.add();
     const auto reschedule = [&sim, tick_ptr, &read_rngs, &net, n,
                              &workload](SimTime now) {
-      const double rate = net.demand_now()[n];
+      const double rate = net.demand_of(n);
       // Idle replicas poll their demand again after one time unit.
       const SimTime gap =
           rate <= 0.0 ? 1.0 : read_rngs[n].exponential(1.0 / rate);
@@ -92,7 +92,7 @@ WorkloadResult run_workload(Graph topology,
     };
     *tick_ptr = [&, reschedule, n] {
       const SimTime now = sim.now();
-      const double rate = net.demand_now()[n];
+      const double rate = net.demand_of(n);
       if (rate > 0.0 && now >= workload.warmup) {
         const std::size_t key_index = read_rngs[n].index(workload.keys);
         ++result.reads;
@@ -105,8 +105,13 @@ WorkloadResult run_workload(Graph topology,
       }
       reschedule(now);
     };
+    // The first tick is drawn even when it falls past the end, keeping the
+    // RNG stream fixed; scheduling it would leave an event that outlives
+    // `timers` in the (pooled) network's queue.
     const SimTime first = read_rngs[n].uniform(0.0, 1.0);
-    sim.schedule_at(first, [tick_ptr] { (*tick_ptr)(); });
+    if (first < workload.duration) {
+      sim.schedule_at(first, [tick_ptr] { (*tick_ptr)(); });
+    }
   }
 
   net.run_until(workload.duration);

@@ -33,35 +33,36 @@ bool SummaryVector::contains(UpdateId id) const {
   return std::binary_search(extras_.begin(), extras_.end(), id);
 }
 
-void SummaryVector::add(UpdateId id) {
+bool SummaryVector::insert(UpdateId id) {
   FASTCONS_EXPECTS(id.seq > 0);
-  if (contains(id)) return;
   const auto wit = lower_bound_origin(watermarks_, id.origin);
   const bool has_mark = wit != watermarks_.end() && wit->first == id.origin;
   const SeqNo mark = has_mark ? wit->second : 0;
+  if (id.seq <= mark) return false;
+  const auto eit = std::lower_bound(extras_.begin(), extras_.end(), id);
+  if (eit != extras_.end() && *eit == id) return false;
   if (id.seq != mark + 1) {
-    extras_.insert(std::lower_bound(extras_.begin(), extras_.end(), id), id);
-    return;
+    extras_.insert(eit, id);
+    return true;
   }
   // The id extends the contiguous prefix; absorb any extras run that is now
   // contiguous too. Extras never contain mark+1 (canonical invariant), so
-  // the run to absorb starts at id.seq + 1.
+  // the run to absorb starts right at `eit`, the first extra above id.
   SeqNo new_mark = id.seq;
-  const auto run_begin = std::lower_bound(extras_.begin(), extras_.end(),
-                                          UpdateId{id.origin, new_mark + 1});
-  auto run_end = run_begin;
+  auto run_end = eit;
   while (run_end != extras_.end() && run_end->origin == id.origin &&
          run_end->seq == new_mark + 1) {
     ++new_mark;
     ++run_end;
   }
-  extras_.erase(run_begin, run_end);
+  extras_.erase(eit, run_end);
   if (has_mark) {
     watermarks_[static_cast<std::size_t>(wit - watermarks_.begin())].second =
         new_mark;
   } else {
     watermarks_.insert(wit, {id.origin, new_mark});
   }
+  return true;
 }
 
 void SummaryVector::canonicalise(Watermarks&& watermarks, Extras&& extras) {

@@ -48,8 +48,13 @@ class SummaryVector {
   /// True when (origin, seq) is covered.
   bool contains(UpdateId id) const;
 
+  /// Records an update as seen; returns whether it was new (i.e. the
+  /// value contains(id) had before the call, negated). One watermark probe
+  /// and one extras probe, so callers need no separate contains().
+  bool insert(UpdateId id);
+
   /// Records an update as seen. Idempotent.
-  void add(UpdateId id);
+  void add(UpdateId id) { (void)insert(id); }
 
   /// Forgets everything, retaining the buffers (pooled engines reset
   /// their summaries once per trial).

@@ -8,12 +8,18 @@
 namespace fastcons {
 namespace {
 
-/// First update with id >= `id` in the sorted-by-id log.
-std::vector<Update>::const_iterator updates_lower_bound(
-    const std::vector<Update>& updates, UpdateId id) {
-  return std::lower_bound(
-      updates.begin(), updates.end(), id,
-      [](const Update& u, UpdateId key) { return u.id < key; });
+using Slots = std::vector<std::uint32_t>;
+
+/// First slot in [first, last) whose update has id >= `id`; the slots are
+/// sorted by the ids of the updates they name.
+Slots::const_iterator slots_lower_bound(const std::vector<Update>& updates,
+                                        Slots::const_iterator first,
+                                        Slots::const_iterator last,
+                                        UpdateId id) {
+  return std::lower_bound(first, last, id,
+                          [&updates](std::uint32_t slot, UpdateId key) {
+                            return updates[slot].id < key;
+                          });
 }
 
 }  // namespace
@@ -24,12 +30,12 @@ bool WriteLog::apply(const Update& update) {
 
 const Update* WriteLog::apply_moved(Update&& update) {
   FASTCONS_EXPECTS(update.id.seq > 0);
-  if (summary_.contains(update.id)) return nullptr;
-  summary_.add(update.id);
-  const auto pos = updates_lower_bound(updates_, update.id);
-  const auto it = updates_.insert(
-      updates_.begin() + (pos - updates_.begin()), std::move(update));
-  const Update& stored = *it;
+  if (!summary_.insert(update.id)) return nullptr;
+  const auto slot = static_cast<std::uint32_t>(updates_.size());
+  const Update& stored = updates_.emplace_back(std::move(update));
+  index_.insert(
+      slots_lower_bound(updates_, index_.begin(), index_.end(), stored.id),
+      slot);
   // Last-writer-wins on (created_at, origin, seq).
   const auto kv_pos = std::lower_bound(
       kv_.begin(), kv_.end(), stored.key,
@@ -63,9 +69,9 @@ std::optional<Update> WriteLog::get(UpdateId id) const {
 }
 
 const Update* WriteLog::find(UpdateId id) const {
-  const auto it = updates_lower_bound(updates_, id);
-  if (it == updates_.end() || it->id != id) return nullptr;
-  return &*it;
+  const auto it = slots_lower_bound(updates_, index_.begin(), index_.end(), id);
+  if (it == index_.end() || updates_[*it].id != id) return nullptr;
+  return &updates_[*it];
 }
 
 std::vector<Update> WriteLog::updates_for(
@@ -74,9 +80,18 @@ std::vector<Update> WriteLog::updates_for(
   const std::vector<UpdateId> ids = summary_.missing_from(their_summary);
   std::vector<Update> result;
   result.reserve(ids.size());
-  for (const UpdateId id : ids) {
-    if (const Update* found = find(id)) {
-      result.push_back(*found);
+  // missing_from yields ascending ids within each of its two passes, so one
+  // forward cursor serves a pass; it restarts when the ids step back down.
+  auto cursor = index_.begin();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const UpdateId id = ids[i];
+    if (i > 0 && id < ids[i - 1]) cursor = index_.begin();
+    if (cursor == index_.end() || updates_[*cursor].id != id) {
+      cursor = slots_lower_bound(updates_, cursor, index_.end(), id);
+    }
+    if (cursor != index_.end() && updates_[*cursor].id == id) {
+      result.push_back(updates_[*cursor]);
+      ++cursor;
     } else if (missing_truncated != nullptr) {
       missing_truncated->push_back(id);
     }
@@ -103,14 +118,31 @@ std::vector<std::string> WriteLog::keys() const {
 }
 
 std::size_t WriteLog::truncate_below(const SummaryVector& stable) {
-  const std::size_t before = updates_.size();
-  std::erase_if(updates_,
-                [&](const Update& u) { return stable.contains(u.id); });
-  return before - updates_.size();
+  const auto covered = [&](const Update& u) { return stable.contains(u.id); };
+  if (std::none_of(updates_.begin(), updates_.end(), covered)) return 0;
+  // Compact the payloads in arrival order, recording each survivor's new
+  // slot, then drop and renumber the index entries.
+  constexpr std::uint32_t kDropped = ~std::uint32_t{0};
+  std::vector<std::uint32_t> renumber(updates_.size(), kDropped);
+  std::uint32_t kept = 0;
+  for (std::size_t slot = 0; slot < updates_.size(); ++slot) {
+    if (covered(updates_[slot])) continue;
+    if (kept != slot) updates_[kept] = std::move(updates_[slot]);
+    renumber[slot] = kept++;
+  }
+  const std::size_t dropped = updates_.size() - kept;
+  updates_.resize(kept);
+  std::erase_if(index_,
+                [&](std::uint32_t slot) { return renumber[slot] == kDropped; });
+  for (std::uint32_t& slot : index_) slot = renumber[slot];
+  return dropped;
 }
 
 std::vector<Update> WriteLog::all_retained() const {
-  return updates_;  // already (origin, seq) sorted
+  std::vector<Update> result;
+  result.reserve(index_.size());
+  for (const std::uint32_t slot : index_) result.push_back(updates_[slot]);
+  return result;
 }
 
 void WriteLog::restore(std::vector<Update> updates, const SummaryVector& cover) {

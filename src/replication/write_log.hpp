@@ -93,6 +93,7 @@ class WriteLog {
   /// capacity — the pooled-engine reset path (ReplicaEngine::reset).
   void clear() noexcept {
     updates_.clear();
+    index_.clear();
     kv_.clear();
     summary_.clear();
   }
@@ -105,12 +106,13 @@ class WriteLog {
     std::string value;
   };
 
-  // Flat sorted storage: a replica log is mutated once per applied update
-  // but consulted on every session, and hash/tree nodes cost an allocation
-  // per entry (plus a bucket array per fresh engine — one per trial in the
-  // simulations). Sorted-by-id updates also make all_retained() a plain
-  // copy.
-  std::vector<Update> updates_;                        // sorted by id
+  // Flat storage: a replica log is mutated once per applied update but
+  // consulted on every session, and hash/tree nodes cost an allocation per
+  // entry (plus a bucket array per fresh engine — one per trial in the
+  // simulations). Payloads stay where they arrived; only the 4-byte index
+  // is kept sorted, so an out-of-order id shifts slots, not Updates.
+  std::vector<Update> updates_;                        // arrival order
+  std::vector<std::uint32_t> index_;                   // slots, sorted by id
   SummaryVector summary_;
   std::vector<std::pair<std::string, KeyState>> kv_;   // sorted by key
 };

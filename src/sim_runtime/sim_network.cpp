@@ -12,6 +12,14 @@ namespace {
 // driver stream Rng(config_.seed) or any per-node stream split from it.
 constexpr std::uint64_t kFaultSeedSalt = 0xFA171F1A57C0FFEEull;
 
+/// First (id, row) entry with entry.first >= id.
+template <typename Rows>
+auto rows_lower_bound(Rows& rows, UpdateId id) {
+  return std::lower_bound(
+      rows.begin(), rows.end(), id,
+      [](const auto& entry, UpdateId key) { return entry.first < key; });
+}
+
 }  // namespace
 
 SimNetwork::SimNetwork(Graph graph, std::shared_ptr<const DemandModel> demand,
@@ -38,7 +46,9 @@ void SimNetwork::reset(std::shared_ptr<const Graph> graph,
   sim_.reset();
   overlay_latency_.clear();
   outages_.clear();
-  holding_count_.clear();
+  seen_rows_.clear();
+  first_seen_.clear();
+  holders_.clear();
   dropped_ = 0;
   summary_revision_ = 0;
   consistent_revision_ = ~std::uint64_t{0};
@@ -46,9 +56,6 @@ void SimNetwork::reset(std::shared_ptr<const Graph> graph,
   on_delivery = nullptr;
   on_crash = nullptr;
   on_restart = nullptr;
-  // first_seen_ inner vectors keep their capacity for the surviving nodes;
-  // wire() resizes the outer vector to the new node count.
-  for (auto& seen : first_seen_) seen.clear();
   wire(std::move(graph), std::move(demand), std::move(config));
 }
 
@@ -81,7 +88,6 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
     engines_.erase(engines_.begin() + static_cast<std::ptrdiff_t>(n),
                    engines_.end());
   }
-  first_seen_.resize(n);
   planned_writes_.assign(n, 0);
   node_applied_.assign(n, 0);
   node_digest_.assign(n, 0);
@@ -127,6 +133,23 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
   }
 }
 
+std::size_t SimNetwork::seen_row(UpdateId id) {
+  const auto it = rows_lower_bound(seen_rows_, id);
+  if (it != seen_rows_.end() && it->first == id) return it->second;
+  const std::size_t row = holders_.size();
+  seen_rows_.emplace(it, id, row);
+  holders_.push_back(0);
+  first_seen_.resize(first_seen_.size() + engines_.size(), kUnseen);
+  return row;
+}
+
+const std::pair<UpdateId, std::size_t>* SimNetwork::find_row(
+    UpdateId id) const {
+  const auto it = rows_lower_bound(seen_rows_, id);
+  if (it == seen_rows_.end() || it->first != id) return nullptr;
+  return &*it;
+}
+
 void SimNetwork::install_delivery_hook(NodeId node) {
   EngineHooks hooks;
   hooks.on_delivery = [this, node](const Update& u, DeliveryPath path,
@@ -137,20 +160,13 @@ void SimNetwork::install_delivery_hook(NodeId node) {
     // is digest-neutral; skipping it would leave a stale "inconsistent"
     // verdict cached while a wiped node re-applies old updates.
     ++summary_revision_;
-    auto& seen = first_seen_[node];
-    const auto it = std::lower_bound(
-        seen.begin(), seen.end(), u.id,
-        [](const auto& entry, UpdateId id) { return entry.first < id; });
-    if (it == seen.end() || it->first != u.id) {
-      seen.emplace(it, u.id, now);
-      const auto hold = std::lower_bound(
-          holding_count_.begin(), holding_count_.end(), u.id,
-          [](const auto& entry, UpdateId id) { return entry.first < id; });
-      if (hold != holding_count_.end() && hold->first == u.id) {
-        ++hold->second;
-      } else {
-        holding_count_.emplace(hold, u.id, 1);
-      }
+    // Per-(node, id) dedup: a node re-applying an id after a crash wipe
+    // keeps its first time and is not counted twice.
+    const std::size_t row = seen_row(u.id);
+    SimTime& first = first_seen_[row * engines_.size() + node];
+    if (first == kUnseen) {
+      first = now;
+      ++holders_[row];
       ++node_applied_[node];
       node_digest_[node] ^= UpdateIdHash{}(u.id);
       if (on_delivery) on_delivery(node, u, path, now);
@@ -460,25 +476,26 @@ bool SimNetwork::all_consistent() const {
 }
 
 std::size_t SimNetwork::nodes_holding(UpdateId id) const {
-  const auto it = std::lower_bound(
-      holding_count_.begin(), holding_count_.end(), id,
-      [](const auto& entry, UpdateId key) { return entry.first < key; });
-  if (it == holding_count_.end() || it->first != id) return 0;
-  return it->second;
+  const auto* row = find_row(id);
+  return row == nullptr ? 0 : holders_[row->second];
 }
 
 std::optional<SimTime> SimNetwork::first_delivery(NodeId n, UpdateId id) const {
-  FASTCONS_EXPECTS(n < first_seen_.size());
-  const auto& seen = first_seen_[n];
-  const auto it = std::lower_bound(
-      seen.begin(), seen.end(), id,
-      [](const auto& entry, UpdateId key) { return entry.first < key; });
-  if (it == seen.end() || it->first != id) return std::nullopt;
-  return it->second;
+  FASTCONS_EXPECTS(n < engines_.size());
+  const auto* row = find_row(id);
+  if (row == nullptr) return std::nullopt;
+  const SimTime first = first_seen_[row->second * engines_.size() + n];
+  if (first == kUnseen) return std::nullopt;
+  return first;
 }
 
 std::vector<double> SimNetwork::demand_now() const {
   return demand_snapshot(*demand_, sim_.now());
+}
+
+double SimNetwork::demand_of(NodeId n) const {
+  FASTCONS_EXPECTS(n < engines_.size());
+  return demand_->demand_at(n, sim_.now());
 }
 
 TrafficCounters SimNetwork::total_traffic() const {

@@ -132,6 +132,9 @@ class SimNetwork {
   /// Demand of every node at the current simulated time.
   std::vector<double> demand_now() const;
 
+  /// Demand of node `n` at the current simulated time (== demand_now()[n]).
+  double demand_of(NodeId n) const;
+
   /// Sum of per-engine traffic counters.
   TrafficCounters total_traffic() const;
 
@@ -177,9 +180,13 @@ class SimNetwork {
   /// Applies a client write at `node`, deferring past any crash the node is
   /// currently in (re-scheduled for the restart instant).
   void perform_write(NodeId node, std::string key, std::string value);
-  /// (Re)installs the delivery hook that feeds first_seen_/holding_count_
-  /// and the convergence tracker; also used after a crash wipes an engine.
+  /// (Re)installs the delivery hook that feeds the delivery table and the
+  /// convergence tracker; also used after a crash wipes an engine.
   void install_delivery_hook(NodeId node);
+  /// The delivery-table row of `id`, appended on its first sighting.
+  std::size_t seen_row(UpdateId id);
+  /// The (id, row) entry of `id`, or nullptr if no node has applied it.
+  const std::pair<UpdateId, std::size_t>* find_row(UpdateId id) const;
   /// Schedules deliveries for `outs`, moving each message into its event;
   /// the vector's elements are consumed but the vector itself is the
   /// caller's (the hot paths pass scratch_out_ and reuse its capacity).
@@ -206,12 +213,16 @@ class SimNetwork {
   };
   std::unordered_map<std::uint64_t, std::vector<Outage>> outages_;
 
-  // first_seen_[n]: (update id, first application time) at node n, sorted
-  // by id. Flat vectors: a trial touches few ids per node, and hash tables
-  // here cost a bucket-array allocation per node per trial.
-  std::vector<std::vector<std::pair<UpdateId, SimTime>>> first_seen_;
-  // (update id, nodes holding it), sorted by id.
-  std::vector<std::pair<UpdateId, std::size_t>> holding_count_;
+  // Delivery table, one row per update id seen anywhere: `seen_rows_` maps
+  // id -> row (sorted by id, grows only on an id's first sighting),
+  // `first_seen_` holds each row's first application time per node
+  // (row-major, size() entries a row, kUnseen until the node applies it)
+  // and `holders_` the number of nodes that have. Flat vectors keep their
+  // capacity across pooled trials.
+  static constexpr SimTime kUnseen = -1.0;
+  std::vector<std::pair<UpdateId, std::size_t>> seen_rows_;
+  std::vector<SimTime> first_seen_;
+  std::vector<std::size_t> holders_;
   std::vector<SeqNo> planned_writes_;
   std::uint64_t dropped_ = 0;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "common/error.hpp"
@@ -205,6 +206,66 @@ TEST(SimNetworkTest, OnDeliveryObserverSeesEveryNodeOnce) {
   for (NodeId n = 0; n < 5; ++n) EXPECT_EQ(seen[n], 1) << "node " << n;
 }
 
+TEST(SimNetworkTest, CrashWipeKeepsFirstDeliveryAndCountsHoldersOnce) {
+  // A wiped replica re-applies updates it held before the crash: the
+  // delivery table must keep the first time and must not count it twice.
+  Rng build(5);
+  Graph graph = make_barabasi_albert(12, 2, {0.01, 0.05}, build);
+  SimConfig cfg = fast_sim(5);
+  cfg.protocol.advert_period = 0.0;
+  cfg.faults.crash_rate = 0.2;
+  cfg.faults.downtime_mean = 0.4;
+  cfg.faults.wipe_on_restart = true;
+  cfg.faults.churn_until = 8.0;
+  SimNetwork net(std::move(graph),
+                 std::make_shared<StaticDemand>(
+                     make_uniform_random_demand(12, 0.0, 100.0, build)),
+                 cfg);
+  std::map<std::pair<NodeId, UpdateId>, SimTime> observed;
+  net.on_delivery = [&](NodeId n, const Update& u, DeliveryPath, SimTime now) {
+    EXPECT_TRUE(observed.emplace(std::pair(n, u.id), now).second)
+        << "node " << n << " reported twice";
+  };
+  std::vector<std::pair<NodeId, SimTime>> wipes;
+  net.on_crash = [&](NodeId n, bool wiped, SimTime now) {
+    if (wiped) wipes.emplace_back(n, now);
+  };
+  std::vector<UpdateId> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(net.schedule_write(static_cast<NodeId>(i % 12), "k", "v",
+                                     0.5 + 0.7 * i));
+  }
+  // Churn ends at 8; by 60 anti-entropy has repaired every survivor.
+  net.run_until(60.0);
+  for (NodeId n = 1; n < net.size(); ++n) {
+    ASSERT_EQ(net.engine(n).summary(), net.engine(0).summary());
+  }
+  ASSERT_FALSE(wipes.empty());
+
+  std::size_t reapplied = 0;
+  for (const UpdateId id : ids) {
+    std::size_t holders = 0;
+    for (NodeId n = 0; n < net.size(); ++n) {
+      const auto first = net.first_delivery(n, id);
+      const auto seen = observed.find(std::pair(n, id));
+      ASSERT_EQ(first.has_value(), seen != observed.end());
+      if (!first.has_value()) continue;
+      ++holders;
+      EXPECT_EQ(*first, seen->second);
+      for (const auto& [node, wiped_at] : wipes) {
+        if (node == n && *first < wiped_at &&
+            net.engine(n).log().contains(id)) {
+          ++reapplied;
+        }
+      }
+    }
+    EXPECT_EQ(net.nodes_holding(id), holders);
+    EXPECT_LE(holders, net.size());
+  }
+  // Non-vacuous: some node held an id, was wiped, and re-applied it.
+  EXPECT_GT(reapplied, 0u);
+}
+
 TEST(SimNetworkTest, WeakConfigSendsNoFastTraffic) {
   SimConfig cfg;
   cfg.protocol = ProtocolConfig::weak();
@@ -229,6 +290,9 @@ TEST(SimNetworkTest, DemandNowTracksDynamicModels) {
   net.run_until(3.5);
   EXPECT_EQ(net.demand_now()[0], 9.0);
   EXPECT_EQ(net.demand_now()[1], 2.0);
+  for (NodeId n = 0; n < net.size(); ++n) {
+    EXPECT_EQ(net.demand_of(n), net.demand_now()[n]);
+  }
 }
 
 TEST(SimNetworkTest, OverlayLinkLatencyIsHonoured) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -52,6 +54,26 @@ TEST(SummaryVectorTest, AddIsIdempotent) {
   sv.add(id(0, 1));
   sv.add(id(0, 1));
   EXPECT_EQ(sv.total(), 1u);
+}
+
+TEST(SummaryVectorTest, InsertReportsNoveltyAndMatchesAdd) {
+  Rng rng(21);
+  SummaryVector inserted;
+  SummaryVector added;
+  std::set<UpdateId> truth;
+  for (int i = 0; i < 400; ++i) {
+    const UpdateId x = id(static_cast<NodeId>(rng.index(5)),
+                          rng.uniform_u64(1, 40));
+    const bool was_new = !inserted.contains(x);
+    EXPECT_EQ(inserted.insert(x), was_new);
+    EXPECT_EQ(was_new, truth.insert(x).second);
+    added.add(x);
+    EXPECT_EQ(inserted, added);
+  }
+  // Canonical form: the structure equals one rebuilt from the id set.
+  std::map<NodeId, std::set<SeqNo>> extras;
+  for (const UpdateId x : truth) extras[x.origin].insert(x.seq);
+  EXPECT_EQ(inserted, SummaryVector::from_parts({}, std::move(extras)));
 }
 
 TEST(SummaryVectorTest, IndependentOrigins) {

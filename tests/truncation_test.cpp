@@ -172,5 +172,100 @@ TEST(TruncationTest, SessionAfterTruncationFallsBackToRetained) {
   EXPECT_TRUE(push_msg.summary.contains(UpdateId{0, 1}));  // but advertised
 }
 
+/// The three payload-carrying messages of one session `a` starts with `b`.
+struct SessionTrace {
+  SessionSummary summary;
+  SessionPush push;
+  SessionReply reply;
+};
+
+SessionTrace run_session(ReplicaEngine& a, ReplicaEngine& b, SimTime now) {
+  std::vector<Outbound> request;
+  a.start_session_with(b.self(), now, request);
+  const auto summary = b.handle(a.self(), request.at(0).msg, now);
+  const auto push = a.handle(b.self(), summary.at(0).msg, now);
+  const auto reply = b.handle(a.self(), push.at(0).msg, now);
+  EXPECT_TRUE(a.handle(b.self(), reply.at(0).msg, now).empty());
+  return {std::get<SessionSummary>(summary.at(0).msg),
+          std::get<SessionPush>(push.at(0).msg),
+          std::get<SessionReply>(reply.at(0).msg)};
+}
+
+SummaryVector known_or_empty(const ReplicaEngine& engine, NodeId peer) {
+  const SummaryVector* known = engine.knowledge_of(peer);
+  return known == nullptr ? SummaryVector{} : *known;
+}
+
+/// Runs one session from `a` to `b` and checks both sides' peer knowledge
+/// against the per-id construction: what was known before, the partner's
+/// summary, and every id shipped either way.
+SessionTrace expect_per_id_knowledge_after_session(ReplicaEngine& a,
+                                                   ReplicaEngine& b,
+                                                   SimTime now) {
+  SummaryVector a_expected = known_or_empty(a, b.self());
+  SummaryVector b_expected = known_or_empty(b, a.self());
+  const SessionTrace trace = run_session(a, b, now);
+  a_expected.merge(trace.summary.summary);
+  b_expected.merge(trace.push.summary);
+  for (const auto* updates : {&trace.push.updates, &trace.reply.updates}) {
+    for (const Update& u : *updates) {
+      a_expected.add(u.id);
+      b_expected.add(u.id);
+    }
+  }
+  EXPECT_EQ(known_or_empty(a, b.self()), a_expected);
+  EXPECT_EQ(known_or_empty(b, a.self()), b_expected);
+  return trace;
+}
+
+/// Two replicas with interleaved, partly out-of-order logs: each has its own
+/// writes plus a gappy subset of a third origin's.
+void seed_divergent_logs(ReplicaEngine& a, ReplicaEngine& b) {
+  for (int i = 0; i < 3; ++i) a.local_write("a" + std::to_string(i), "x", 0.0);
+  for (int i = 0; i < 2; ++i) b.local_write("b" + std::to_string(i), "y", 0.0);
+  const auto third = [](SeqNo seq) {
+    return Update{UpdateId{7, seq}, 0.0, "c", "z" + std::to_string(seq)};
+  };
+  a.handle(7, Message{FastData{1, {third(1), third(4)}}}, 0.0);
+  b.handle(7, Message{FastData{2, {third(2), third(5)}}}, 0.0);
+}
+
+TEST(TruncationTest, PeerKnowledgeAfterSessionMatchesPerIdConstruction) {
+  ProtocolConfig cfg = truncating_config();
+  cfg.auto_truncate = false;
+  cfg.fast_push = false;
+  ReplicaEngine a(0, {1}, cfg, 1);
+  ReplicaEngine b(1, {0}, cfg, 2);
+  seed_divergent_logs(a, b);
+  expect_per_id_knowledge_after_session(a, b, 0.1);
+  // A second session in the other direction starts from that knowledge.
+  b.local_write("b-late", "y", 0.2);
+  expect_per_id_knowledge_after_session(b, a, 0.2);
+  EXPECT_EQ(a.summary(), b.summary());
+}
+
+TEST(TruncationTest, PeerKnowledgeAfterTruncatedSessionMatchesPerIdConstruction) {
+  ProtocolConfig cfg = truncating_config();
+  cfg.auto_truncate = false;
+  cfg.fast_push = false;
+  ReplicaEngine a(0, {1}, cfg, 1);
+  ReplicaEngine b(1, {0}, cfg, 2);
+  seed_divergent_logs(a, b);
+  // Both sides drop payloads the other still lacks, so the initiator's push
+  // and the responder's reply both fall back to everything retained.
+  SummaryVector a_stable;
+  a_stable.add(UpdateId{0, 1});
+  SummaryVector b_stable;
+  b_stable.add(UpdateId{1, 1});
+  ASSERT_EQ(a.truncate_log_below(a_stable), 1u);
+  ASSERT_EQ(b.truncate_log_below(b_stable), 1u);
+  const std::vector<Update> a_retained = a.log().all_retained();
+  const SessionTrace trace = expect_per_id_knowledge_after_session(a, b, 0.1);
+  EXPECT_EQ(trace.push.updates, a_retained);
+  EXPECT_EQ(trace.reply.updates, b.log().all_retained());
+  EXPECT_TRUE(trace.push.summary.contains(UpdateId{0, 1}));
+  EXPECT_EQ(b.log().find(UpdateId{0, 1}), nullptr);  // never shipped
+}
+
 }  // namespace
 }  // namespace fastcons

@@ -129,6 +129,27 @@ TEST(WorkloadTest, ZeroDemandNodesIssueNoReads) {
   EXPECT_EQ(result.reads, 0u);
 }
 
+TEST(WorkloadTest, ShortRunLeavesNoReadTickInPooledNetwork) {
+  // First read ticks are drawn in [0, 1); with a shorter run those past the
+  // end must not stay queued, or running the pooled network afterwards
+  // would call closures owned by the finished run (caught by ASan).
+  Rng rng(23);
+  Graph g = make_barabasi_albert(40, 2, {0.01, 0.05}, rng);
+  SimConfig sim;
+  sim.protocol = ProtocolConfig::fast();
+  sim.seed = 24;
+  WorkloadConfig w = small_workload();
+  w.duration = 0.5;
+  w.warmup = 0.1;
+  w.write_interval = 0.05;
+  SimNetworkPool pool;
+  const WorkloadResult result =
+      run_workload(std::move(g), uniform_demand(40, 25), sim, w, pool);
+  EXPECT_GT(result.writes, 0u);
+  ASSERT_NE(pool.get(), nullptr);
+  EXPECT_TRUE(pool.get()->run_until_consistent(60.0));
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(TraceTest, RecordsEveryDeliveryOnce) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.hpp"
 
 namespace fastcons {
@@ -152,6 +154,142 @@ TEST(WriteLogTest, PairwiseExchangeConverges) {
     EXPECT_EQ(a.summary(), b.summary());
     EXPECT_EQ(a.all_retained().size(), b.all_retained().size());
   }
+}
+
+/// `count` distinct updates over four origins with gappy seqs, random keys
+/// and timestamps, in id order.
+std::vector<Update> random_updates(Rng& rng, std::size_t count) {
+  std::set<UpdateId> ids;
+  while (ids.size() < count) {
+    ids.insert(UpdateId{static_cast<NodeId>(rng.index(4)),
+                        rng.uniform_u64(1, 3 * count)});
+  }
+  std::vector<Update> updates;
+  for (const UpdateId id : ids) {
+    updates.push_back(make_update(id.origin, id.seq, rng.uniform(0.0, 5.0),
+                                  "k" + std::to_string(rng.index(6)),
+                                  "v" + std::to_string(id.seq)));
+  }
+  return updates;
+}
+
+/// A summary covering a random half of `updates` (plus nothing else).
+SummaryVector random_cover(Rng& rng, const std::vector<Update>& updates) {
+  SummaryVector cover;
+  for (const Update& u : updates) {
+    if (rng.bernoulli(0.5)) cover.add(u.id);
+  }
+  return cover;
+}
+
+/// Every observable of the log's storage agrees between `a` and `b`.
+void expect_same_log(const WriteLog& a, const WriteLog& b,
+                     const std::vector<Update>& probes, Rng& rng) {
+  EXPECT_EQ(a.summary(), b.summary());
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.all_retained(), b.all_retained());
+  EXPECT_EQ(a.kv_digest(), b.kv_digest());
+  for (const Update& u : probes) {
+    const Update* fa = a.find(u.id);
+    const Update* fb = b.find(u.id);
+    ASSERT_EQ(fa == nullptr, fb == nullptr);
+    if (fa != nullptr) {
+      EXPECT_EQ(*fa, *fb);
+    }
+  }
+  EXPECT_EQ(a.find(UpdateId{9, 1}), nullptr);
+  for (int i = 0; i < 4; ++i) {
+    const SummaryVector theirs = random_cover(rng, probes);
+    std::vector<UpdateId> ta;
+    std::vector<UpdateId> tb;
+    EXPECT_EQ(a.updates_for(theirs, &ta), b.updates_for(theirs, &tb));
+    EXPECT_EQ(ta, tb);
+  }
+}
+
+TEST(WriteLogTest, ShuffledApplyMatchesSortedApply) {
+  Rng rng(7);
+  for (int round = 0; round < 10; ++round) {
+    const std::vector<Update> updates = random_updates(rng, 60);
+    std::vector<Update> shuffled = updates;
+    rng.shuffle(shuffled);
+    WriteLog sorted_log;
+    WriteLog shuffled_log;
+    for (const Update& u : updates) sorted_log.apply(u);
+    for (const Update& u : shuffled) shuffled_log.apply(u);
+    expect_same_log(sorted_log, shuffled_log, updates, rng);
+    // updates_for ships ids in missing_from order: watermark ranges first,
+    // then extras, each ascending.
+    const SummaryVector empty;
+    std::vector<UpdateId> shipped;
+    for (const Update& u : shuffled_log.updates_for(empty)) {
+      shipped.push_back(u.id);
+    }
+    EXPECT_EQ(shipped, shuffled_log.summary().missing_from(empty));
+  }
+}
+
+TEST(WriteLogTest, TruncateThenApplyMatchesSortedReference) {
+  Rng rng(8);
+  for (int round = 0; round < 10; ++round) {
+    const std::vector<Update> all = random_updates(rng, 80);
+    std::vector<Update> first(all.begin(), all.begin() + 50);
+    std::vector<Update> second(all.begin() + 50, all.end());
+    const SummaryVector stable = random_cover(rng, first);
+    WriteLog reference;
+    for (const Update& u : first) reference.apply(u);
+    const std::size_t dropped = reference.truncate_below(stable);
+    for (const Update& u : second) reference.apply(u);
+
+    rng.shuffle(first);
+    rng.shuffle(second);
+    WriteLog log;
+    for (const Update& u : first) log.apply(u);
+    EXPECT_EQ(log.truncate_below(stable), dropped);
+    for (const Update& u : second) log.apply(u);
+    expect_same_log(reference, log, all, rng);
+    for (const Update& u : all) {
+      EXPECT_EQ(log.find(u.id) == nullptr, stable.contains(u.id));
+    }
+  }
+}
+
+TEST(WriteLogTest, RestoreMatchesApplyAndMerge) {
+  Rng rng(9);
+  for (int round = 0; round < 10; ++round) {
+    const std::vector<Update> updates = random_updates(rng, 40);
+    const SummaryVector cover = random_cover(rng, random_updates(rng, 40));
+    WriteLog reference;
+    for (const Update& u : updates) reference.apply(u);
+    std::vector<Update> image = updates;
+    rng.shuffle(image);
+    image.push_back(image.front());  // a WAL suffix overlapping the image
+    WriteLog restored;
+    restored.restore(std::move(image), cover);
+    SummaryVector expected = reference.summary();
+    expected.merge(cover);
+    EXPECT_EQ(restored.summary(), expected);
+    EXPECT_EQ(restored.all_retained(), reference.all_retained());
+    EXPECT_EQ(restored.kv_digest(), reference.kv_digest());
+    for (const Update& u : updates) {
+      ASSERT_NE(restored.find(u.id), nullptr);
+      EXPECT_EQ(*restored.find(u.id), u);
+    }
+  }
+}
+
+TEST(WriteLogTest, ClearForgetsEverything) {
+  Rng rng(10);
+  WriteLog log;
+  for (const Update& u : random_updates(rng, 20)) log.apply(u);
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.all_retained().empty());
+  EXPECT_EQ(log.summary(), SummaryVector{});
+  const Update u = make_update(1, 1);
+  EXPECT_TRUE(log.apply(u));
+  ASSERT_NE(log.find(u.id), nullptr);
+  EXPECT_EQ(*log.find(u.id), u);
 }
 
 }  // namespace
